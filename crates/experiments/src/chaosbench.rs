@@ -19,13 +19,14 @@
 //!
 //! `--smoke` (one kill, quick mode) is the CI `chaos-smoke` gate.
 
+use crate::error::{ExperimentError, Result};
 use crate::mode::Mode;
 use crate::render::TextTable;
-use crate::serverbench::STREAMS_PER_SCALE;
-use crate::serverbench::{online_cfg, prepare_app, Result, ServerbenchError, ServerbenchOptions};
+use crate::serverbench::{
+    check_delivery, loadgen_cfg, prepare_app, server_cfg, ServerbenchOptions, STREAMS_PER_SCALE,
+};
 use icfl_online::{FeedConfig, ModelRegistry};
-use icfl_scenario::ScrapeTrace;
-use icfl_server::loadgen::{run as run_loadgen, LoadMode, LoadgenConfig, LoadgenSummary};
+use icfl_server::loadgen::{run as run_loadgen, LoadgenSummary};
 use icfl_server::{ChaosConfig, ChaosProxy, HttpClient, IcflServer, ServerConfig, ServerHandle};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -60,8 +61,7 @@ impl ChaosbenchOptions {
     /// Defaults: two kills, models under `results/models` and state under
     /// `results/chaosbench-state` (honoring `ICFL_RESULTS_DIR`).
     pub fn new(mode: Mode, seed: u64) -> Self {
-        let results = std::env::var_os("ICFL_RESULTS_DIR")
-            .map_or_else(|| PathBuf::from("results"), PathBuf::from);
+        let results = crate::timing::results_dir();
         ChaosbenchOptions {
             mode,
             seed,
@@ -196,7 +196,7 @@ impl Chaosbench {
         out.push_str(&self.render());
         out.push_str("\n```\n\n");
         out.push_str(
-            "Regenerate with `cargo run --release -p icfl-experiments --bin chaosbench`; \
+            "Regenerate with `cargo run --release -p icfl-experiments --bin icfl-exp -- chaosbench`; \
              the CI gate runs `--smoke` (one kill) and fails on any divergent byte or \
              lost scrape.\n",
         );
@@ -208,39 +208,10 @@ impl Chaosbench {
 /// fsync cadence so kills land between checkpoints and mid-WAL.
 fn chaos_server_cfg(opts: &ChaosbenchOptions, cfg: &FeedConfig) -> ServerConfig {
     ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        registry_root: opts.registry_root.clone(),
-        feed: cfg.clone(),
-        queue_cap: opts.queue_cap,
-        http_workers: 32,
-        retry_after_ms: 5,
         state_dir: Some(opts.state_dir.clone()),
         checkpoint_every_ticks: 4,
         fsync_every_batches: 4,
-        ..ServerConfig::quick(&opts.registry_root)
-    }
-}
-
-/// The load campaign both runs replay: one pass of the longest trace per
-/// stream, bulk batches, fixed tenant names so the runs are comparable.
-fn loadgen_cfg(addr: String, traces: &[ScrapeTrace], opts: &ChaosbenchOptions) -> LoadgenConfig {
-    let per_stream = traces
-        .iter()
-        .map(|t| t.scrapes.len() as u64)
-        .max()
-        .unwrap_or(0);
-    LoadgenConfig {
-        addr,
-        traces: traces.to_vec(),
-        total: per_stream * STREAMS_PER_SCALE as u64,
-        concurrency: STREAMS_PER_SCALE,
-        bulk_size: opts.bulk_size,
-        mode: LoadMode::Bulk,
-        rate: 0.0,
-        seed: opts.seed,
-        tenant_prefix: "chaos-".to_owned(),
-        max_transport_retries: 0,
-        max_reject_retries: 0,
+        ..server_cfg(&opts.registry_root, cfg.clone(), opts.queue_cap)
     }
 }
 
@@ -252,7 +223,7 @@ fn fetch_incidents(addr: &str, tenants: &[String]) -> Result<Vec<Vec<u8>>> {
     for tenant in tenants {
         let resp = client.get(&format!("/incidents/{tenant}"))?;
         if resp.status != 200 {
-            return Err(ServerbenchError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "incidents {tenant}: {} {}",
                 resp.status,
                 resp.text().trim()
@@ -285,12 +256,12 @@ fn wait_for_kill_point(
             return Ok(());
         }
         if campaign.is_finished() {
-            return Err(ServerbenchError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "campaign finished before the kill point at {at} accepted scrapes"
             )));
         }
         if Instant::now() >= deadline {
-            return Err(ServerbenchError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "campaign wedged at {accepted}/{at} accepted scrapes"
             )));
         }
@@ -308,7 +279,7 @@ fn wait_for_kill_point(
 /// `/incidents` diverges from the reference, a silently dropped scrape,
 /// or a kill point the campaign never reached.
 pub fn chaosbench(opts: &ChaosbenchOptions) -> Result<Chaosbench> {
-    let cfg = online_cfg(opts.mode);
+    let cfg = opts.mode.online_cfg();
     let registry = ModelRegistry::open(&opts.registry_root)?;
     let sb_opts = ServerbenchOptions {
         queue_cap: opts.queue_cap,
@@ -330,16 +301,20 @@ pub fn chaosbench(opts: &ChaosbenchOptions) -> Result<Chaosbench> {
     // Uninterrupted reference run: same campaign, no proxy, no durable
     // state, no kills.
     icfl_obs::info!("chaosbench: reference run (no chaos)...");
-    let mut ref_handle = IcflServer::start(ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        registry_root: opts.registry_root.clone(),
-        feed: feed.clone(),
-        queue_cap: opts.queue_cap,
-        http_workers: 32,
-        retry_after_ms: 5,
-        ..ServerConfig::quick(&opts.registry_root)
-    })?;
-    let ref_summary = run_loadgen(&loadgen_cfg(ref_handle.addr().to_string(), &traces, opts))?;
+    // Both runs replay the same campaign under fixed tenant names, so
+    // their `/incidents` are comparable.
+    let campaign = |addr: String| {
+        loadgen_cfg(
+            addr,
+            &traces,
+            STREAMS_PER_SCALE,
+            &sb_opts,
+            "chaos-".to_owned(),
+        )
+    };
+    let ref_cfg = server_cfg(&opts.registry_root, feed.clone(), opts.queue_cap);
+    let mut ref_handle = IcflServer::start(ref_cfg)?;
+    let ref_summary = run_loadgen(&campaign(ref_handle.addr().to_string()))?;
     let reference = fetch_incidents(&ref_handle.addr().to_string(), &tenants)?;
     ref_handle.shutdown();
 
@@ -352,7 +327,7 @@ pub fn chaosbench(opts: &ChaosbenchOptions) -> Result<Chaosbench> {
     let mut handle = IcflServer::start(chaos_server_cfg(opts, &feed))?;
     let proxy = ChaosProxy::start(handle.addr().to_string(), ChaosConfig::mild(opts.seed))?;
 
-    let mut chaos_cfg = loadgen_cfg(proxy.addr().to_string(), &traces, opts);
+    let mut chaos_cfg = campaign(proxy.addr().to_string());
     // Generous retry budgets: every kill severs in-flight requests, and
     // each reconnect may land while the server is still recovering.
     chaos_cfg.max_transport_retries = 4000;
@@ -378,7 +353,7 @@ pub fn chaosbench(opts: &ChaosbenchOptions) -> Result<Chaosbench> {
         }
         let summary = campaign
             .join()
-            .map_err(|_| ServerbenchError::Invariant("campaign thread panicked".into()))??;
+            .map_err(|_| ExperimentError::Invariant("campaign thread panicked".into()))??;
         Ok((summary, restarts))
     })?;
 
@@ -393,7 +368,7 @@ pub fn chaosbench(opts: &ChaosbenchOptions) -> Result<Chaosbench> {
             .iter()
             .find(|t| &t.tenant == tenant)
             .ok_or_else(|| {
-                ServerbenchError::Invariant(format!("tenant {tenant} missing from the campaign"))
+                ExperimentError::Invariant(format!("tenant {tenant} missing from the campaign"))
             })?;
         rows.push(ChaosTenantRow {
             tenant: tenant.clone(),
@@ -403,27 +378,14 @@ pub fn chaosbench(opts: &ChaosbenchOptions) -> Result<Chaosbench> {
         });
     }
     if let Some(bad) = rows.iter().find(|r| !r.byte_equal) {
-        return Err(ServerbenchError::Invariant(format!(
+        return Err(ExperimentError::Invariant(format!(
             "tenant {} served divergent /incidents after recovery",
             bad.tenant
         )));
     }
-    let accepted: u64 = summary.tenants.iter().map(|t| t.scrapes_accepted).sum();
-    if accepted != summary.scrapes_sent {
-        return Err(ServerbenchError::Invariant(format!(
-            "silent drop: sent {} scrapes but only {accepted} accounted for",
-            summary.scrapes_sent
-        )));
-    }
-    if summary.incidents_detected() < summary.incidents_expected() {
-        return Err(ServerbenchError::Invariant(format!(
-            "{}/{} scheduled incidents detected after recovery",
-            summary.incidents_detected(),
-            summary.incidents_expected()
-        )));
-    }
+    let accepted = check_delivery("after recovery", &summary)?;
     if restarts != opts.kills {
-        return Err(ServerbenchError::Invariant(format!(
+        return Err(ExperimentError::Invariant(format!(
             "{restarts} restarts for {} scheduled kills",
             opts.kills
         )));

@@ -24,76 +24,18 @@
 //! Any violated invariant is an error, so the smoke tier doubles as the
 //! CI forensics gate.
 
+use crate::error::{ExperimentError, Result};
 use crate::mode::Mode;
+use crate::production::spaced_outages;
 use crate::render::TextTable;
 use icfl_core::{parallel_map, CampaignRun, CausalModel, RunConfig};
-use icfl_micro::FaultKind;
 use icfl_online::{
-    record_trace, Episode, EvidenceChain, FeedConfig, FeedSession, IncidentSchedule, ModelMeta,
-    ModelProvenance, OnlineConfig, OnlineError, OnlineSession, CHAIN_FORMAT_VERSION,
+    record_trace, EvidenceChain, FeedConfig, FeedSession, IncidentSchedule, ModelMeta,
+    ModelProvenance, OnlineConfig, OnlineSession, CHAIN_FORMAT_VERSION,
 };
-use icfl_sim::{SimDuration, SimTime};
+use icfl_sim::SimTime;
 use icfl_telemetry::MetricCatalog;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Errors surfaced by the forensics gate.
-#[derive(Debug)]
-pub enum ForensicsError {
-    /// Offline training failed.
-    Core(icfl_core::CoreError),
-    /// An online session or trace replay failed.
-    Online(OnlineError),
-    /// A chain invariant did not hold.
-    Invariant(String),
-}
-
-impl fmt::Display for ForensicsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ForensicsError::Core(e) => write!(f, "offline training failed: {e}"),
-            ForensicsError::Online(e) => write!(f, "online session failed: {e}"),
-            ForensicsError::Invariant(msg) => write!(f, "chain invariant violated: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ForensicsError {}
-
-impl From<icfl_core::CoreError> for ForensicsError {
-    fn from(e: icfl_core::CoreError) -> Self {
-        ForensicsError::Core(e)
-    }
-}
-impl From<OnlineError> for ForensicsError {
-    fn from(e: OnlineError) -> Self {
-        ForensicsError::Online(e)
-    }
-}
-
-/// Forensics gate result alias.
-pub type Result<T> = std::result::Result<T, ForensicsError>;
-
-/// Tuning of one forensics run.
-#[derive(Debug, Clone)]
-pub struct ForensicsOptions {
-    /// Timing mode (window geometry and phase lengths).
-    pub mode: Mode,
-    /// Root seed for training and all sessions.
-    pub seed: u64,
-}
-
-impl ForensicsOptions {
-    /// A run in the given mode.
-    pub fn new(mode: Mode, seed: u64) -> Self {
-        ForensicsOptions { mode, seed }
-    }
-
-    /// The CI smoke tier: quick mode.
-    pub fn smoke(seed: u64) -> Self {
-        ForensicsOptions::new(Mode::Quick, seed)
-    }
-}
 
 /// One application's slice of the forensics gate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -164,32 +106,6 @@ impl ForensicsReport {
     }
 }
 
-/// Two single-service outage schedules per app: one evenly spaced, one
-/// back-to-back — enough to confirm several incidents per session while
-/// staying inside the smoke-tier wall-clock budget.
-fn schedules(targets: &[icfl_micro::ServiceId], cfg: &OnlineConfig) -> Vec<IncidentSchedule> {
-    let hop = cfg.windows.hop;
-    let hops = |n: u64| SimDuration::from_nanos(hop.as_nanos() * n);
-    let first = SimTime::ZERO + cfg.warmup + cfg.windows.window + hops(16);
-    let fault_len = hops(10);
-    let target = |i: usize| targets[i % targets.len()];
-    let single = |start: SimTime, idx: usize| {
-        Episode::single(start, target(idx), FaultKind::ServiceUnavailable, fault_len)
-    };
-    vec![
-        IncidentSchedule::new(
-            (0..2)
-                .map(|k| single(first + hops(32 * k), k as usize))
-                .collect(),
-        ),
-        IncidentSchedule::new(
-            (0..2)
-                .map(|k| single(first + hops(16 * k), 2 + k as usize))
-                .collect(),
-        ),
-    ]
-}
-
 /// Runs every schedule through [`OnlineSession::run_with_forensics`] on
 /// `threads` workers and returns the per-session chains.
 fn fan_out(
@@ -223,7 +139,7 @@ fn to_bytes(chains: &[Vec<EvidenceChain>]) -> String {
 /// Checks the structural and score-accounting invariants of one chain.
 /// Returns the number of candidate breakdowns verified bit-for-bit.
 fn check_chain(app: &str, chain: &EvidenceChain) -> Result<usize> {
-    let fail = |msg: String| Err(ForensicsError::Invariant(format!("{app}: {msg}")));
+    let fail = |msg: String| Err(ExperimentError::Invariant(format!("{app}: {msg}")));
     if chain.format_version != CHAIN_FORMAT_VERSION {
         return fail(format!(
             "incident {} has format version {} (expected {CHAIN_FORMAT_VERSION})",
@@ -332,36 +248,40 @@ fn replay_chains(
 /// # Errors
 ///
 /// Propagates training and session errors, and reports any violated
-/// chain invariant as [`ForensicsError::Invariant`].
-pub fn forensics(opts: &ForensicsOptions) -> Result<ForensicsReport> {
+/// chain invariant as [`ExperimentError::Invariant`].
+pub fn forensics(mode: Mode, seed: u64) -> Result<ForensicsReport> {
     let catalog = MetricCatalog::derived_all();
-    let cfg = match opts.mode {
-        Mode::Quick => OnlineConfig::quick(),
-        Mode::Paper => OnlineConfig::paper(),
-    };
-    let apps = match opts.mode {
+    let cfg = mode.online_cfg();
+    let apps = match mode {
         Mode::Quick => vec![icfl_apps::pattern1()],
         Mode::Paper => vec![icfl_apps::pattern1(), icfl_apps::causalbench()],
     };
 
     let mut rows = Vec::new();
     for app in &apps {
-        let train_cfg = opts.mode.train_cfg(opts.seed);
+        let train_cfg = mode.train_cfg(seed);
         let campaign = CampaignRun::execute(app, &train_cfg)?;
         let model = campaign.learn(&catalog, RunConfig::default_detector())?;
-        let schedules = schedules(campaign.targets(), &cfg);
+        // One evenly spaced and one back-to-back schedule per app: enough
+        // to confirm several incidents per session while staying inside
+        // the smoke tier's wall-clock budget.
+        let targets = campaign.targets();
+        let schedules = [
+            spaced_outages(&cfg, targets, 2, 32, 0),
+            spaced_outages(&cfg, targets, 2, 16, 2),
+        ];
         let episodes: usize = schedules.iter().map(|s| s.episodes().len()).sum();
 
         // Invariants 1 + 2 on the max-thread run, then byte-compare the
         // 1- and 2-thread runs against it (invariant 3).
-        let reference = fan_out(app, &model, &schedules, &cfg, opts.seed, schedules.len())?;
+        let reference = fan_out(app, &model, &schedules, &cfg, seed, schedules.len())?;
         let mut breakdowns_checked = 0;
         for chain in reference.iter().flatten() {
             breakdowns_checked += check_chain(&app.name, chain)?;
         }
         let chains: usize = reference.iter().map(Vec::len).sum();
         if chains == 0 {
-            return Err(ForensicsError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "{}: no incident was confirmed — the gate checked nothing",
                 app.name
             )));
@@ -372,29 +292,29 @@ pub fn forensics(opts: &ForensicsOptions) -> Result<ForensicsReport> {
             .filter(|c| c.localized_at_nanos.is_some())
             .count();
         if localized == 0 {
-            return Err(ForensicsError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "{}: no incident was localized — score accounting went unchecked",
                 app.name
             )));
         }
         let reference_bytes = to_bytes(&reference);
         let thread_byte_equal = [1usize, 2].iter().all(|&threads| {
-            fan_out(app, &model, &schedules, &cfg, opts.seed, threads)
+            fan_out(app, &model, &schedules, &cfg, seed, threads)
                 .map(|runs| to_bytes(&runs) == reference_bytes)
                 .unwrap_or(false)
         });
         if !thread_byte_equal {
-            return Err(ForensicsError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "{}: chains differ across worker-thread counts",
                 app.name
             )));
         }
 
         // Invariant 4: trace replay (with a mid-stream crash) matches.
-        let replayed = replay_chains(app, &model, &schedules, &cfg, opts.seed)?;
+        let replayed = replay_chains(app, &model, &schedules, &cfg, seed)?;
         let replay_byte_equal = to_bytes(&replayed) == reference_bytes;
         if !replay_byte_equal {
-            return Err(ForensicsError::Invariant(format!(
+            return Err(ExperimentError::Invariant(format!(
                 "{}: feed-replay chains diverge from the live session's",
                 app.name
             )));
@@ -412,9 +332,5 @@ pub fn forensics(opts: &ForensicsOptions) -> Result<ForensicsReport> {
         });
     }
 
-    Ok(ForensicsReport {
-        mode: opts.mode,
-        seed: opts.seed,
-        rows,
-    })
+    Ok(ForensicsReport { mode, seed, rows })
 }

@@ -1,6 +1,7 @@
-//! Experiment modes and command-line plumbing shared by the binaries.
+//! Experiment modes and the command-line parser of `icfl-exp`.
 
 use icfl_core::RunConfig;
+use icfl_online::OnlineConfig;
 use serde::{Deserialize, Serialize};
 
 /// How faithfully to reproduce the paper's timing.
@@ -29,6 +30,14 @@ impl Mode {
         // in EvalSuite; salting here keeps even the first case distinct.
         self.train_cfg(icfl_scenario::seeds::eval_phase(seed))
     }
+
+    /// Online-session tuning (window geometry, warm-up, detector).
+    pub fn online_cfg(self) -> OnlineConfig {
+        match self {
+            Mode::Quick => OnlineConfig::quick(),
+            Mode::Paper => OnlineConfig::paper(),
+        }
+    }
 }
 
 impl std::fmt::Display for Mode {
@@ -40,7 +49,43 @@ impl std::fmt::Display for Mode {
     }
 }
 
-/// Options parsed from an experiment binary's command line.
+/// The flags one experiment takes beyond the common set.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalFlags {
+    /// Tier flags (`--smoke`, `--fleet`, `--fleet-smoke`), each with the
+    /// name its runs carry in `timings.csv` and `--profile` file names.
+    pub tiers: &'static [(&'static str, &'static str)],
+    /// Other flags as the usage line shows them: `--ad`, `--kills N`,
+    /// `--emit-trace DIR`.
+    pub flags: &'static [&'static str],
+}
+
+impl LocalFlags {
+    /// No local flags.
+    pub const NONE: LocalFlags = LocalFlags {
+        tiers: &[],
+        flags: &[],
+    };
+
+    fn takes(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f.split(' ').next() == Some(flag))
+    }
+
+    /// The flag list of a usage line: the common set, then the local ones.
+    pub fn usage(&self) -> String {
+        let mut usage = String::from(
+            "[--quick|--paper] [--seed N] [--threads N] [--json] [--profile DIR] \
+             [--quiet|-q] [-v] [-vv]",
+        );
+        let tiers = self.tiers.iter().map(|(flag, _)| *flag);
+        for flag in tiers.chain(self.flags.iter().copied()) {
+            usage.push_str(&format!(" [{flag}]"));
+        }
+        usage
+    }
+}
+
+/// Options parsed from an experiment's command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
     /// Timing mode.
@@ -59,6 +104,15 @@ pub struct CliOptions {
     /// Log-level override from `--quiet`/`-v`/`-vv` (`None` leaves the
     /// `ICFL_LOG` environment default in effect).
     pub log: Option<icfl_obs::Level>,
+    /// The recorded name of the tier a local tier flag selected (`None`
+    /// = the base tier, recorded under the experiment's own name).
+    pub tier: Option<&'static str>,
+    /// `production --ad`: Anderson–Darling instead of KS live detection.
+    pub ad: bool,
+    /// `chaosbench --kills N`: scheduled server kills (at least one).
+    pub kills: Option<usize>,
+    /// `serverbench --emit-trace DIR`: also save the recorded traces.
+    pub emit_trace: Option<std::path::PathBuf>,
 }
 
 impl CliOptions {
@@ -71,18 +125,26 @@ impl CliOptions {
             threads: 0,
             profile: None,
             log: None,
+            tier: None,
+            ad: false,
+            kills: None,
+            emit_trace: None,
         }
     }
 
     /// Parses `--paper` / `--quick`, `--seed N`, `--threads N`, `--json`,
-    /// `--profile DIR`, and the log-level flags (`--quiet`/`-q`, `-v`,
-    /// `-vv`) from raw arguments (binary name excluded). Unknown
-    /// arguments are rejected.
+    /// `--profile DIR`, the log-level flags (`--quiet`/`-q`, `-v`,
+    /// `-vv`) and the experiment's `local` flags from raw arguments
+    /// (binary and experiment name excluded).
     ///
     /// # Errors
     ///
-    /// Returns a usage string on unknown flags or malformed values.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliOptions, String> {
+    /// Returns what is wrong with the first unknown flag or missing or
+    /// malformed value.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        local: &LocalFlags,
+    ) -> Result<CliOptions, String> {
         let mut opts = CliOptions::defaults();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -105,41 +167,23 @@ impl CliOptions {
                     let v = it.next().ok_or("--profile needs a directory")?;
                     opts.profile = Some(std::path::PathBuf::from(v));
                 }
-                other => {
-                    return Err(format!(
-                        "unknown argument {other}; usage: [--quick|--paper] [--seed N] \
-                         [--threads N] [--json] [--profile DIR] [--quiet|-q] [-v] [-vv]"
-                    ))
+                "--ad" if local.takes("--ad") => opts.ad = true,
+                "--kills" if local.takes("--kills") => {
+                    let v = it.next().ok_or("--kills needs a count")?;
+                    let kills = v.parse().ok().filter(|&k: &usize| k > 0);
+                    opts.kills = Some(kills.ok_or_else(|| format!("bad kill count: {v}"))?);
                 }
+                "--emit-trace" if local.takes("--emit-trace") => {
+                    let v = it.next().filter(|v| !v.starts_with('-'));
+                    opts.emit_trace = Some(v.ok_or("--emit-trace needs a directory")?.into());
+                }
+                other => match local.tiers.iter().find(|(flag, _)| *flag == other) {
+                    Some((_, name)) => opts.tier = Some(name),
+                    None => return Err(format!("unknown argument {other}")),
+                },
             }
         }
         Ok(opts)
-    }
-
-    /// Parses the process arguments, exiting with a usage message on error.
-    ///
-    /// A `--threads N` argument is exported as the `ICFL_THREADS`
-    /// environment variable so every [`RunConfig`] built anywhere in the
-    /// experiment (training, evaluation, baselines) resolves to the same
-    /// worker count without threading the value through each call site.
-    /// A log-level flag is applied to the global `icfl-obs` logger (flags
-    /// win over the `ICFL_LOG` environment variable).
-    pub fn from_env() -> CliOptions {
-        match CliOptions::parse(std::env::args().skip(1)) {
-            Ok(o) => {
-                if o.threads > 0 {
-                    std::env::set_var("ICFL_THREADS", o.threads.to_string());
-                }
-                if let Some(level) = o.log {
-                    icfl_obs::logger::set_level(level);
-                }
-                o
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The worker count the executor will actually use for a large fan-out
@@ -156,8 +200,18 @@ impl CliOptions {
 mod tests {
     use super::*;
 
+    /// Every local flag any experiment takes.
+    const ALL_LOCAL: LocalFlags = LocalFlags {
+        tiers: &[("--smoke", "unit-smoke")],
+        flags: &["--ad", "--kills N", "--emit-trace DIR"],
+    };
+
+    fn parse_with(args: &[&str], local: &LocalFlags) -> Result<CliOptions, String> {
+        CliOptions::parse(args.iter().map(|s| s.to_string()), local)
+    }
+
     fn parse(args: &[&str]) -> Result<CliOptions, String> {
-        CliOptions::parse(args.iter().map(|s| s.to_string()))
+        parse_with(args, &LocalFlags::NONE)
     }
 
     #[test]
@@ -178,6 +232,19 @@ mod tests {
         assert_eq!(o.seed, 7);
         assert!(o.json);
         assert_eq!(o.threads, 4);
+        let o = parse_with(
+            &["--smoke", "--ad", "--kills", "3", "--emit-trace", "out"],
+            &ALL_LOCAL,
+        )
+        .unwrap();
+        assert_eq!(o.tier, Some("unit-smoke"));
+        assert!(o.ad);
+        assert_eq!(o.kills, Some(3));
+        assert_eq!(o.emit_trace.as_deref(), Some(std::path::Path::new("out")));
+        assert!(ALL_LOCAL
+            .usage()
+            .ends_with("[-vv] [--smoke] [--ad] [--kills N] [--emit-trace DIR]"));
+        assert!(LocalFlags::NONE.usage().ends_with("[-vv]"));
     }
 
     #[test]
@@ -201,6 +268,21 @@ mod tests {
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--threads", "many"]).is_err());
         assert!(parse(&["--profile"]).is_err());
+        // Local flags exist only for the experiments that list them...
+        for flag in ["--smoke", "--fleet", "--ad", "--kills", "--emit-trace"] {
+            assert!(parse(&[flag, "1"]).is_err(), "{flag}");
+        }
+        // ...and their values are checked, not defaulted.
+        for bad in [
+            &["--kills"][..],
+            &["--kills", "abc"],
+            &["--kills", "0"],
+            &["--emit-trace"],
+            &["--emit-trace", "--smoke"],
+            &["--fleet"],
+        ] {
+            assert!(parse_with(bad, &ALL_LOCAL).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

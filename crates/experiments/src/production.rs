@@ -16,62 +16,20 @@
 //! [`parallel_map`] exactly like campaign phases; thread count never
 //! changes the report (asserted by the `production_determinism` test).
 
+use crate::error::Result;
 use crate::mode::Mode;
 use crate::render::TextTable;
 use icfl_core::{parallel_map, CampaignRun, EvalSuite, RunConfig};
 use icfl_micro::{FaultKind, ServiceId};
 use icfl_online::{
-    Episode, EpisodeFault, IncidentSchedule, ModelMeta, ModelRegistry, OnlineConfig, OnlineError,
-    OnlineSession, RegistryError, SessionReport,
+    Episode, EpisodeFault, IncidentSchedule, ModelMeta, ModelRegistry, OnlineConfig, OnlineSession,
+    SessionReport,
 };
 use icfl_sim::{SimDuration, SimTime};
 use icfl_stats::{ShiftDetector, TestKind};
 use icfl_telemetry::MetricCatalog;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::path::PathBuf;
-
-/// Errors surfaced by the production experiment.
-#[derive(Debug)]
-pub enum ProductionError {
-    /// Offline training or evaluation failed.
-    Core(icfl_core::CoreError),
-    /// An online session failed.
-    Online(OnlineError),
-    /// Model persistence failed.
-    Registry(RegistryError),
-}
-
-impl fmt::Display for ProductionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProductionError::Core(e) => write!(f, "offline pipeline failed: {e}"),
-            ProductionError::Online(e) => write!(f, "online session failed: {e}"),
-            ProductionError::Registry(e) => write!(f, "model registry failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ProductionError {}
-
-impl From<icfl_core::CoreError> for ProductionError {
-    fn from(e: icfl_core::CoreError) -> Self {
-        ProductionError::Core(e)
-    }
-}
-impl From<OnlineError> for ProductionError {
-    fn from(e: OnlineError) -> Self {
-        ProductionError::Online(e)
-    }
-}
-impl From<RegistryError> for ProductionError {
-    fn from(e: RegistryError) -> Self {
-        ProductionError::Registry(e)
-    }
-}
-
-/// Production experiment result alias.
-pub type Result<T> = std::result::Result<T, ProductionError>;
 
 /// Tuning of one production run.
 #[derive(Debug, Clone)]
@@ -92,13 +50,11 @@ impl ProductionOptions {
     /// Defaults: quick mode, seed 42, auto threads, KS detection, models
     /// under `results/models` (honoring `ICFL_RESULTS_DIR`).
     pub fn new(mode: Mode, seed: u64) -> Self {
-        let results = std::env::var_os("ICFL_RESULTS_DIR")
-            .map_or_else(|| PathBuf::from("results"), PathBuf::from);
         ProductionOptions {
             mode,
             seed,
             threads: 0,
-            registry_root: results.join("models"),
+            registry_root: crate::timing::results_dir().join("models"),
             anderson_darling: false,
         }
     }
@@ -111,10 +67,7 @@ impl ProductionOptions {
 
     /// The session tuning for this run's mode and detector choice.
     fn online_cfg(&self) -> OnlineConfig {
-        let cfg = match self.mode {
-            Mode::Quick => OnlineConfig::quick(),
-            Mode::Paper => OnlineConfig::paper(),
-        };
+        let cfg = self.mode.online_cfg();
         if self.anderson_darling {
             let detector = ShiftDetector {
                 kind: TestKind::AndersonDarling,
@@ -319,64 +272,93 @@ impl ProductionReport {
     }
 }
 
+/// When the first outage of every schedule starts: sixteen hops after the
+/// first full window, on a window boundary.
+fn first_onset(cfg: &OnlineConfig) -> SimTime {
+    SimTime::ZERO + cfg.warmup + cfg.windows.window + hops(cfg, 16)
+}
+
+fn hops(cfg: &OnlineConfig, n: u64) -> SimDuration {
+    SimDuration::from_nanos(cfg.windows.hop.as_nanos() * n)
+}
+
+/// `count` single-service ten-hop outages `spacing` hops apart, hitting
+/// `targets[first_target..]` round-robin. All spans are multiples of the
+/// hop so every onset sits on a window boundary; constants scale with
+/// the mode's window geometry. Shared by every online experiment.
+pub(crate) fn spaced_outages(
+    cfg: &OnlineConfig,
+    targets: &[ServiceId],
+    count: usize,
+    spacing: u64,
+    first_target: usize,
+) -> IncidentSchedule {
+    let single = |k: usize| {
+        Episode::single(
+            first_onset(cfg) + hops(cfg, spacing * k as u64),
+            targets[(first_target + k) % targets.len()],
+            FaultKind::ServiceUnavailable,
+            hops(cfg, 10),
+        )
+    };
+    IncidentSchedule::new((0..count).map(single).collect())
+}
+
 /// Builds the three session schedules for an application: evenly spaced
 /// single outages, back-to-back single outages, and a mix ending in an
-/// overlapping double outage. All spans are multiples of the hop so every
-/// onset sits on a window boundary; constants scale with the mode's
-/// window geometry.
+/// overlapping double outage.
 fn session_schedules(targets: &[ServiceId], cfg: &OnlineConfig) -> Vec<IncidentSchedule> {
-    let hop = cfg.windows.hop;
-    let hops = |n: u64| SimDuration::from_nanos(hop.as_nanos() * n);
-    let first = SimTime::ZERO + cfg.warmup + cfg.windows.window + hops(16);
-    let fault_len = hops(10);
-    let target = |i: usize| targets[i % targets.len()];
-
-    let single = |start: SimTime, idx: usize| {
-        Episode::single(start, target(idx), FaultKind::ServiceUnavailable, fault_len)
-    };
-
     // Session 0: four outages with generous spacing.
-    let spaced = IncidentSchedule::new(
-        (0..4)
-            .map(|k| single(first + hops(32 * k as u64), k))
-            .collect(),
-    );
+    let spaced = spaced_outages(cfg, targets, 4, 32, 0);
 
     // Session 1: four back-to-back outages — the next begins six hops
     // after the previous lifts, while the detector is still draining.
-    let tight = IncidentSchedule::new(
-        (0..4)
-            .map(|k| single(first + hops(16 * k as u64), 4 + k))
-            .collect(),
-    );
+    let tight = spaced_outages(cfg, targets, 4, 16, 4);
 
     // Session 2: two singles, then two faults overlapping in time —
     // one incident episode with two root causes.
-    let overlap_start = first + hops(64);
-    let overlapping = Episode {
-        start: overlap_start,
-        faults: vec![
-            EpisodeFault {
-                service: target(10),
-                fault: FaultKind::ServiceUnavailable,
-                offset: SimDuration::from_secs(0),
-                duration: fault_len,
-            },
-            EpisodeFault {
-                service: target(13),
-                fault: FaultKind::ServiceUnavailable,
-                offset: hops(3),
-                duration: fault_len,
-            },
-        ],
+    let overlapping = |target: usize, offset: u64| EpisodeFault {
+        service: targets[target % targets.len()],
+        fault: FaultKind::ServiceUnavailable,
+        offset: hops(cfg, offset),
+        duration: hops(cfg, 10),
     };
-    let mixed = IncidentSchedule::new(vec![
-        single(first, 8),
-        single(first + hops(32), 9),
-        overlapping,
-    ]);
+    let mut mixed = spaced_outages(cfg, targets, 2, 32, 8).episodes().to_vec();
+    mixed.push(Episode {
+        start: first_onset(cfg) + hops(cfg, 64),
+        faults: vec![overlapping(10, 0), overlapping(13, 3)],
+    });
 
-    vec![spaced, tight, mixed]
+    vec![spaced, tight, IncidentSchedule::new(mixed)]
+}
+
+/// Learns `campaign`'s derived-metric model with the default detector and
+/// saves it, with its provenance, under the app's name; returns the
+/// registry version. Shared with the server campaigns.
+pub(crate) fn learn_and_publish(
+    registry: &ModelRegistry,
+    app: &icfl_apps::App,
+    campaign: &CampaignRun,
+    seed: u64,
+    note: &str,
+) -> Result<u32> {
+    let catalog = MetricCatalog::derived_all();
+    let detector = RunConfig::default_detector();
+    let model = campaign.learn(&catalog, detector)?;
+    let meta = ModelMeta {
+        app: app.name.clone(),
+        seed,
+        catalog: catalog.name().to_owned(),
+        detector: detector.kind.to_string(),
+        num_services: model.num_services(),
+        targets: campaign
+            .targets()
+            .iter()
+            .map(|&t| campaign.service_names()[t.index()].clone())
+            .collect(),
+        note: note.to_owned(),
+    };
+    Ok(registry.save(&app.name, meta, &model)?)
 }
 
 /// Runs the production experiment.
@@ -387,7 +369,6 @@ fn session_schedules(targets: &[ServiceId], cfg: &OnlineConfig) -> Vec<IncidentS
 pub fn production(opts: &ProductionOptions) -> Result<ProductionReport> {
     let registry = ModelRegistry::open(&opts.registry_root)?;
     let online_cfg = opts.online_cfg();
-    let catalog = MetricCatalog::derived_all();
     let mut apps = Vec::new();
 
     for (app_idx, app) in [icfl_apps::causalbench(), icfl_apps::robot_shop()]
@@ -398,21 +379,13 @@ pub fn production(opts: &ProductionOptions) -> Result<ProductionReport> {
         // everything below runs on the *reloaded* model.
         let train_cfg = opts.mode.train_cfg(opts.seed).with_threads(opts.threads);
         let campaign = CampaignRun::execute(&app, &train_cfg)?;
-        let trained = campaign.learn(&catalog, RunConfig::default_detector())?;
-        let meta = ModelMeta {
-            app: app.name.clone(),
-            seed: opts.seed,
-            catalog: catalog.name().to_owned(),
-            detector: RunConfig::default_detector().kind.to_string(),
-            num_services: trained.num_services(),
-            targets: campaign
-                .targets()
-                .iter()
-                .map(|&t| campaign.service_names()[t.index()].clone())
-                .collect(),
-            note: "production experiment".into(),
-        };
-        let model_version = registry.save(&app.name, meta, &trained)?;
+        let model_version = learn_and_publish(
+            &registry,
+            &app,
+            &campaign,
+            opts.seed,
+            "production experiment",
+        )?;
         let record = registry.load_latest(&app.name)?;
         let model = record.model;
 

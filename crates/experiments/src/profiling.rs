@@ -1,8 +1,8 @@
 //! Profiling artifact rendering: per-phase breakdowns, Chrome traces, and
 //! journal snapshots for any experiment run.
 //!
-//! Every experiment binary accepts `--profile <dir>` and, after its
-//! workload, dumps the global `icfl-obs` collector here:
+//! Every experiment accepts `--profile <dir>` and, after its workload,
+//! the runner dumps the global `icfl-obs` collector here:
 //!
 //! | Artifact | Contents |
 //! |---|---|
@@ -17,7 +17,6 @@
 //! across worker-thread counts); the `.txt`/`.json`/trace files measure
 //! the host machine and are diagnostics only.
 
-use crate::mode::CliOptions;
 use crate::render::TextTable;
 use icfl_obs::{PhaseAggregate, StatSummary, TraceEvent};
 use serde::Serialize;
@@ -117,23 +116,6 @@ pub fn write_profile_artifacts(dir: &Path, stem: &str) -> std::io::Result<Vec<Pa
     Ok(written)
 }
 
-/// Honors a binary's `--profile <dir>` flag: writes the artifact set when
-/// the flag was given, logging the paths (or a warning on failure —
-/// profiling never fails the experiment).
-pub fn maybe_write_profile(opts: &CliOptions, stem: &str) {
-    let Some(dir) = &opts.profile else {
-        return;
-    };
-    match write_profile_artifacts(dir, stem) {
-        Ok(paths) => {
-            for p in paths {
-                icfl_obs::info!("{stem}: profile artifact {}", p.display());
-            }
-        }
-        Err(e) => icfl_obs::warn!("{stem}: could not write profile artifacts: {e}"),
-    }
-}
-
 /// Converts `icfl-micro` request spans to Chrome-trace events on the
 /// *simulated* clock (`ts` is simulation microseconds).
 ///
@@ -221,6 +203,7 @@ mod tests {
 
     #[test]
     fn artifacts_cover_the_full_set() {
+        let _guard = crate::timing::ENV_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join(format!("icfl-profile-{}", std::process::id()));
         icfl_obs::reset();
         icfl_obs::counter_add("icfl_unit_total", &[], 7);

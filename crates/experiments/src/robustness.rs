@@ -14,51 +14,15 @@
 //! false alarms: missing telemetry must read as "no data", never as an
 //! incident.
 
+use crate::error::Result;
 use crate::mode::Mode;
+use crate::production::spaced_outages;
 use crate::render::TextTable;
 use icfl_core::{parallel_map, CampaignRun, RunConfig};
-use icfl_micro::{FaultKind, ServiceId};
-use icfl_online::{
-    Episode, IncidentSchedule, OnlineConfig, OnlineError, OnlineSession, SessionReport,
-};
-use icfl_sim::{SimDuration, SimTime};
+use icfl_online::{IncidentSchedule, OnlineSession, SessionReport};
+use icfl_sim::SimDuration;
 use icfl_telemetry::{DegradationConfig, MetricCatalog};
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Errors surfaced by the robustness experiment.
-#[derive(Debug)]
-pub enum RobustnessError {
-    /// Offline training failed.
-    Core(icfl_core::CoreError),
-    /// An online session failed.
-    Online(OnlineError),
-}
-
-impl fmt::Display for RobustnessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RobustnessError::Core(e) => write!(f, "offline training failed: {e}"),
-            RobustnessError::Online(e) => write!(f, "online session failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RobustnessError {}
-
-impl From<icfl_core::CoreError> for RobustnessError {
-    fn from(e: icfl_core::CoreError) -> Self {
-        RobustnessError::Core(e)
-    }
-}
-impl From<OnlineError> for RobustnessError {
-    fn from(e: OnlineError) -> Self {
-        RobustnessError::Online(e)
-    }
-}
-
-/// Robustness experiment result alias.
-pub type Result<T> = std::result::Result<T, RobustnessError>;
 
 /// The swept scrape-drop rates.
 pub const DROP_RATES: [f64; 5] = [0.0, 0.01, 0.05, 0.10, 0.20];
@@ -66,28 +30,6 @@ pub const DROP_RATES: [f64; 5] = [0.0, 0.01, 0.05, 0.10, 0.20];
 /// Per-scrape counter-reset probability of the reset arm (one pod
 /// restart every ~500 scrapes somewhere in the cluster).
 pub const RESET_PROB: f64 = 0.002;
-
-/// Tuning of one robustness run.
-#[derive(Debug, Clone)]
-pub struct RobustnessOptions {
-    /// Timing mode (window geometry and phase lengths).
-    pub mode: Mode,
-    /// Root seed for training and the shared session.
-    pub seed: u64,
-    /// Worker threads for the cell fan-out (`0` = auto).
-    pub threads: usize,
-}
-
-impl RobustnessOptions {
-    /// Defaults: the given mode and seed, auto threads.
-    pub fn new(mode: Mode, seed: u64) -> Self {
-        RobustnessOptions {
-            mode,
-            seed,
-            threads: 0,
-        }
-    }
-}
 
 /// One cell of the degradation grid: a session replayed under one
 /// degradation configuration.
@@ -247,26 +189,6 @@ impl RobustnessReport {
     }
 }
 
-/// The shared incident schedule every cell replays: three spaced
-/// single-service outages, onsets on window boundaries.
-fn robustness_schedule(targets: &[ServiceId], cfg: &OnlineConfig) -> IncidentSchedule {
-    let hop = cfg.windows.hop;
-    let hops = |n: u64| SimDuration::from_nanos(hop.as_nanos() * n);
-    let first = SimTime::ZERO + cfg.warmup + cfg.windows.window + hops(16);
-    IncidentSchedule::new(
-        (0..3)
-            .map(|k| {
-                Episode::single(
-                    first + hops(28 * k as u64),
-                    targets[k % targets.len()],
-                    FaultKind::ServiceUnavailable,
-                    hops(10),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// The degradation configuration of one grid cell. Cells with any loss
 /// also carry mild delivery jitter and duplicates — real scrape paths
 /// that drop samples also reorder and retry them.
@@ -286,11 +208,8 @@ fn cell_config(deg_seed: u64, drop_prob: f64, resets: bool) -> DegradationConfig
 /// # Errors
 ///
 /// Propagates training and session errors.
-pub fn robustness(opts: &RobustnessOptions) -> Result<RobustnessReport> {
-    let online_cfg = match opts.mode {
-        Mode::Quick => OnlineConfig::quick(),
-        Mode::Paper => OnlineConfig::paper(),
-    };
+pub fn robustness(mode: Mode, seed: u64) -> Result<RobustnessReport> {
+    let online_cfg = mode.online_cfg();
     let catalog = MetricCatalog::derived_all();
     let mut apps = Vec::new();
 
@@ -301,14 +220,16 @@ pub fn robustness(opts: &RobustnessOptions) -> Result<RobustnessReport> {
         // One clean-telemetry model per app; every cell below is served
         // by the same model, as production would be after a scrape-path
         // regression.
-        let train_cfg = opts.mode.train_cfg(opts.seed).with_threads(opts.threads);
+        let train_cfg = mode.train_cfg(seed);
         let campaign = CampaignRun::execute(&app, &train_cfg)?;
         let model = campaign.learn(&catalog, RunConfig::default_detector())?;
-        let schedule = robustness_schedule(campaign.targets(), &online_cfg);
+        // The shared incident schedule every cell replays: three spaced
+        // single-service outages.
+        let schedule = spaced_outages(&online_cfg, campaign.targets(), 3, 28, 0);
 
         // All cells replay the same seeded session; only the degradation
         // stream (its own salted seed) differs from cell to cell.
-        let session_seed = icfl_scenario::seeds::production_session(opts.seed, app_idx, 9);
+        let session_seed = icfl_scenario::seeds::production_session(seed, app_idx, 9);
         let deg_seed = icfl_scenario::seeds::degradation(session_seed);
         let grid: Vec<(f64, bool)> = [false, true]
             .into_iter()
@@ -354,9 +275,5 @@ pub fn robustness(opts: &RobustnessOptions) -> Result<RobustnessReport> {
         });
     }
 
-    Ok(RobustnessReport {
-        mode: opts.mode,
-        seed: opts.seed,
-        apps,
-    })
+    Ok(RobustnessReport { mode, seed, apps })
 }

@@ -12,91 +12,24 @@
 //! invariant, not a hope — the sweep fails if a scrape went missing or a
 //! scheduled incident went undetected.
 
+use crate::error::{ExperimentError, Result};
 use crate::mode::Mode;
+use crate::production::{learn_and_publish, spaced_outages};
 use crate::render::TextTable;
 use icfl_apps::App;
-use icfl_core::{CampaignRun, RunConfig};
-use icfl_micro::FaultKind;
-use icfl_online::{
-    record_trace, Episode, FeedConfig, IncidentSchedule, ModelMeta, ModelRegistry, OnlineConfig,
-    OnlineError,
-};
+use icfl_core::CampaignRun;
+use icfl_online::{record_trace, FeedConfig, ModelRegistry, OnlineConfig};
 use icfl_scenario::ScrapeTrace;
-use icfl_server::loadgen::{run as run_loadgen, LoadMode, LoadgenConfig};
+use icfl_server::loadgen::{run as run_loadgen, LoadMode, LoadgenConfig, LoadgenSummary};
 use icfl_server::{IcflServer, ServerConfig, ServerHandle};
-use icfl_sim::{SimDuration, SimTime};
-use icfl_telemetry::MetricCatalog;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The default sweep's concurrency scales.
 pub const SERVERBENCH_SCALES: [usize; 3] = [1, 4, 16];
 
 /// Tenant streams per scale unit (one fig2 + one causalbench).
 pub const STREAMS_PER_SCALE: usize = 2;
-
-/// Errors surfaced by the server load sweep.
-#[derive(Debug)]
-pub enum ServerbenchError {
-    /// Offline training failed.
-    Core(icfl_core::CoreError),
-    /// Trace recording failed.
-    Online(OnlineError),
-    /// Model persistence or reload failed.
-    Registry(icfl_online::RegistryError),
-    /// Server start/stop or trace emission failed.
-    Io(std::io::Error),
-    /// The load generator hit a protocol failure.
-    Loadgen(icfl_server::LoadgenError),
-    /// The sweep's own invariants failed (lost scrapes, missed
-    /// incidents).
-    Invariant(String),
-}
-
-impl fmt::Display for ServerbenchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServerbenchError::Core(e) => write!(f, "offline training failed: {e}"),
-            ServerbenchError::Online(e) => write!(f, "session setup failed: {e}"),
-            ServerbenchError::Registry(e) => write!(f, "model registry failed: {e}"),
-            ServerbenchError::Io(e) => write!(f, "server I/O failed: {e}"),
-            ServerbenchError::Loadgen(e) => write!(f, "load generation failed: {e}"),
-            ServerbenchError::Invariant(e) => write!(f, "sweep invariant violated: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServerbenchError {}
-
-impl From<icfl_core::CoreError> for ServerbenchError {
-    fn from(e: icfl_core::CoreError) -> Self {
-        ServerbenchError::Core(e)
-    }
-}
-impl From<OnlineError> for ServerbenchError {
-    fn from(e: OnlineError) -> Self {
-        ServerbenchError::Online(e)
-    }
-}
-impl From<icfl_online::RegistryError> for ServerbenchError {
-    fn from(e: icfl_online::RegistryError) -> Self {
-        ServerbenchError::Registry(e)
-    }
-}
-impl From<std::io::Error> for ServerbenchError {
-    fn from(e: std::io::Error) -> Self {
-        ServerbenchError::Io(e)
-    }
-}
-impl From<icfl_server::LoadgenError> for ServerbenchError {
-    fn from(e: icfl_server::LoadgenError) -> Self {
-        ServerbenchError::Loadgen(e)
-    }
-}
-
-/// Server load sweep result alias.
-pub type Result<T> = std::result::Result<T, ServerbenchError>;
 
 /// Options for the server load sweep.
 #[derive(Debug, Clone)]
@@ -123,13 +56,11 @@ impl ServerbenchOptions {
     /// Defaults: the full 1×/4×/16× sweep, models under `results/models`
     /// (honoring `ICFL_RESULTS_DIR`).
     pub fn new(mode: Mode, seed: u64) -> Self {
-        let results = std::env::var_os("ICFL_RESULTS_DIR")
-            .map_or_else(|| PathBuf::from("results"), PathBuf::from);
         ServerbenchOptions {
             mode,
             seed,
             scales: SERVERBENCH_SCALES.to_vec(),
-            registry_root: results.join("models"),
+            registry_root: crate::timing::results_dir().join("models"),
             emit_trace: None,
             queue_cap: 64,
             bulk_size: 64,
@@ -228,30 +159,12 @@ impl Serverbench {
         out.push_str(&self.render());
         out.push_str("```\n\n");
         out.push_str(
-            "Regenerate with `cargo run --release -p icfl-experiments --bin serverbench`; \
+            "Regenerate with `cargo run --release -p icfl-experiments --bin icfl-exp -- serverbench`; \
              the same numbers land in `results/timings.csv` as \
              `scrapes_per_sec@{scale}x` / `detect_p99_ms@{scale}x` phase rows.\n",
         );
         out
     }
-}
-
-/// Mode-aware two-outage schedule, mirroring the production experiment's
-/// hop-relative placement so it stays valid under paper-scale windows.
-fn schedule_for(cfg: &OnlineConfig, targets: &[icfl_micro::ServiceId]) -> IncidentSchedule {
-    let hop = cfg.windows.hop;
-    let hops = |n: u64| SimDuration::from_nanos(hop.as_nanos() * n);
-    let first = SimTime::ZERO + cfg.warmup + cfg.windows.window + hops(16);
-    let fault_len = hops(10);
-    IncidentSchedule::new(vec![
-        Episode::single(first, targets[0], FaultKind::ServiceUnavailable, fault_len),
-        Episode::single(
-            first + hops(32),
-            targets[1 % targets.len()],
-            FaultKind::ServiceUnavailable,
-            fault_len,
-        ),
-    ])
 }
 
 /// Trains `app`, persists the model, and records its replay trace.
@@ -263,25 +176,10 @@ pub(crate) fn prepare_app(
     online_cfg: &OnlineConfig,
     opts: &ServerbenchOptions,
 ) -> Result<ScrapeTrace> {
-    let catalog = MetricCatalog::derived_all();
-    let train_cfg = opts.mode.train_cfg(opts.seed);
-    let campaign = CampaignRun::execute(app, &train_cfg)?;
-    let model = campaign.learn(&catalog, RunConfig::default_detector())?;
-    let meta = ModelMeta {
-        app: app.name.clone(),
-        seed: opts.seed,
-        catalog: catalog.name().to_owned(),
-        detector: RunConfig::default_detector().kind.to_string(),
-        num_services: model.num_services(),
-        targets: campaign
-            .targets()
-            .iter()
-            .map(|&t| campaign.service_names()[t.index()].clone())
-            .collect(),
-        note: "serverbench sweep".into(),
-    };
-    registry.save(&app.name, meta, &model)?;
-    let schedule = schedule_for(online_cfg, campaign.targets());
+    let campaign = CampaignRun::execute(app, &opts.mode.train_cfg(opts.seed))?;
+    learn_and_publish(registry, app, &campaign, opts.seed, "serverbench sweep")?;
+    // Two spaced outages per app.
+    let schedule = spaced_outages(online_cfg, campaign.targets(), 2, 32, 0);
     let trace = record_trace(app, &schedule, online_cfg, opts.seed)?;
     if let Some(dir) = &opts.emit_trace {
         let path = dir.join(format!("{}.jsonl", app.name));
@@ -293,11 +191,67 @@ pub(crate) fn prepare_app(
     Ok(trace)
 }
 
-pub(crate) fn online_cfg(mode: Mode) -> OnlineConfig {
-    match mode {
-        Mode::Quick => OnlineConfig::quick(),
-        Mode::Paper => OnlineConfig::paper(),
+/// The loopback server both server campaigns start: ephemeral port, the
+/// campaign's queue bound, a short 429 retry hint.
+pub(crate) fn server_cfg(registry_root: &Path, feed: FeedConfig, queue_cap: usize) -> ServerConfig {
+    ServerConfig {
+        feed,
+        queue_cap,
+        http_workers: 32,
+        retry_after_ms: 5,
+        ..ServerConfig::quick(registry_root)
     }
+}
+
+/// The bulk replay both server campaigns run: each of `streams` tenants
+/// replays one full pass of the longest trace, so every scheduled
+/// episode is fully covered at every scale.
+pub(crate) fn loadgen_cfg(
+    addr: String,
+    traces: &[ScrapeTrace],
+    streams: usize,
+    opts: &ServerbenchOptions,
+    tenant_prefix: String,
+) -> LoadgenConfig {
+    let per_stream = traces
+        .iter()
+        .map(|t| t.scrapes.len() as u64)
+        .max()
+        .unwrap_or(0);
+    LoadgenConfig {
+        addr,
+        traces: traces.to_vec(),
+        total: per_stream * streams as u64,
+        concurrency: streams,
+        bulk_size: opts.bulk_size,
+        mode: LoadMode::Bulk,
+        rate: 0.0,
+        seed: opts.seed,
+        tenant_prefix,
+        max_transport_retries: 0,
+        max_reject_retries: 0,
+    }
+}
+
+/// The delivery invariants of a finished campaign: every scrape sent was
+/// accepted and every scheduled incident detected. Returns the accepted
+/// count.
+pub(crate) fn check_delivery(run: &str, summary: &LoadgenSummary) -> Result<u64> {
+    let accepted: u64 = summary.tenants.iter().map(|t| t.scrapes_accepted).sum();
+    if accepted != summary.scrapes_sent {
+        return Err(ExperimentError::Invariant(format!(
+            "{run}: sent {} scrapes but only {accepted} accepted",
+            summary.scrapes_sent
+        )));
+    }
+    if summary.incidents_detected() < summary.incidents_expected() {
+        return Err(ExperimentError::Invariant(format!(
+            "{run}: {}/{} scheduled incidents detected",
+            summary.incidents_detected(),
+            summary.incidents_expected()
+        )));
+    }
+    Ok(accepted)
 }
 
 /// Runs the sweep: train + record once, then one load campaign per scale
@@ -308,7 +262,7 @@ pub(crate) fn online_cfg(mode: Mode) -> OnlineConfig {
 /// Training/registry/transport failures, or a violated sweep invariant
 /// (a lost scrape, an undetected scheduled incident).
 pub fn serverbench(opts: &ServerbenchOptions) -> Result<Serverbench> {
-    let cfg = online_cfg(opts.mode);
+    let cfg = opts.mode.online_cfg();
     let registry = ModelRegistry::open(&opts.registry_root)?;
     if let Some(dir) = &opts.emit_trace {
         std::fs::create_dir_all(dir)?;
@@ -320,16 +274,8 @@ pub fn serverbench(opts: &ServerbenchOptions) -> Result<Serverbench> {
         traces.push(prepare_app(app, &registry, &cfg, opts)?);
     }
 
-    let server_cfg = ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        registry_root: opts.registry_root.clone(),
-        feed: FeedConfig::from_online(&cfg),
-        queue_cap: opts.queue_cap,
-        http_workers: 32,
-        retry_after_ms: 5,
-        ..ServerConfig::quick(&opts.registry_root)
-    };
-    let handle = IcflServer::start(server_cfg)?;
+    let feed = FeedConfig::from_online(&cfg);
+    let handle = IcflServer::start(server_cfg(&opts.registry_root, feed, opts.queue_cap))?;
 
     let mut rows = Vec::new();
     for &scale in &opts.scales {
@@ -348,42 +294,15 @@ fn run_scale(
     opts: &ServerbenchOptions,
 ) -> Result<ServerbenchRow> {
     let streams = scale * STREAMS_PER_SCALE;
-    // Each stream replays one full pass of the longest trace, so every
-    // scheduled episode is fully covered at every scale.
-    let per_stream = traces
-        .iter()
-        .map(|t| t.scrapes.len() as u64)
-        .max()
-        .unwrap_or(0);
-    let summary = run_loadgen(&LoadgenConfig {
-        addr: handle.addr().to_string(),
-        traces: traces.to_vec(),
-        total: per_stream * streams as u64,
-        concurrency: streams,
-        bulk_size: opts.bulk_size,
-        mode: LoadMode::Bulk,
-        rate: 0.0,
-        seed: opts.seed,
-        tenant_prefix: format!("x{scale}-"),
-        max_transport_retries: 0,
-        max_reject_retries: 0,
-    })?;
-
-    let accepted: u64 = summary.tenants.iter().map(|t| t.scrapes_accepted).sum();
-    if accepted != summary.scrapes_sent {
-        return Err(ServerbenchError::Invariant(format!(
-            "{}x: sent {} scrapes but only {accepted} accepted",
-            scale, summary.scrapes_sent
-        )));
-    }
-    if summary.incidents_detected() < summary.incidents_expected() {
-        return Err(ServerbenchError::Invariant(format!(
-            "{}x: {}/{} scheduled incidents detected",
-            scale,
-            summary.incidents_detected(),
-            summary.incidents_expected()
-        )));
-    }
+    let addr = handle.addr().to_string();
+    let summary = run_loadgen(&loadgen_cfg(
+        addr,
+        traces,
+        streams,
+        opts,
+        format!("x{scale}-"),
+    ))?;
+    check_delivery(&format!("{scale}x"), &summary)?;
     icfl_obs::info!("serverbench {scale}x: {}", summary.one_line());
     Ok(ServerbenchRow {
         scale,

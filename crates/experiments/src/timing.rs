@@ -1,12 +1,11 @@
-//! Wall-clock measurement and persistence for the experiment binaries.
+//! Wall-clock measurement and persistence for the experiments.
 //!
-//! Every binary times its expensive phase with [`run_timed`] and appends
-//! one `phase = total` CSV row to `results/timings.csv` via
+//! The runner times every experiment with [`run_timed`] and appends one
+//! `phase = total` CSV row to `results/timings.csv` via
 //! [`record_timing`], so the speedup of the parallel executor is captured
-//! next to the scientific outputs it produced. Binaries that run with the
-//! `icfl-obs` span instrumentation also append one row per pipeline phase
-//! (`scenario-build`, `sim-run`, `windowing`, `learn`, `localize`) via
-//! [`record_phase_timings`], sourced from the global profiler's span
+//! next to the scientific outputs it produced, plus one row per pipeline
+//! phase (`scenario-build`, `sim-run`, `windowing`, `learn`, `localize`)
+//! via [`record_phase_timings`], sourced from the global profiler's span
 //! aggregate.
 
 use crate::mode::CliOptions;
@@ -32,12 +31,16 @@ pub fn run_timed<T>(f: impl FnOnce() -> T) -> Timed<T> {
     }
 }
 
-/// Where timing rows are appended: `$ICFL_RESULTS_DIR/timings.csv`, or
-/// `results/timings.csv` under the current directory.
+/// Where experiments keep what they write (timing rows, result files,
+/// the model registry): `$ICFL_RESULTS_DIR`, or `results` under the
+/// current directory.
+pub fn results_dir() -> PathBuf {
+    std::env::var_os("ICFL_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
+}
+
+/// Where timing rows are appended: `timings.csv` in [`results_dir`].
 pub fn timings_path() -> PathBuf {
-    let dir = std::env::var_os("ICFL_RESULTS_DIR")
-        .map_or_else(|| PathBuf::from("results"), PathBuf::from);
-    dir.join("timings.csv")
+    results_dir().join("timings.csv")
 }
 
 /// The CSV header written before the `phase` column existed.
@@ -85,15 +88,31 @@ fn upgrade_schema(path: &std::path::Path) -> std::io::Result<()> {
 
 /// Appends one row (`experiment,mode,seed,threads,wall_secs,phase`) to
 /// [`timings_path`], creating the file (with a header) and its directory
-/// on first use, and upgrading older schemas in place (see
-/// [`upgrade_schema`]'s rules) first.
-fn append_row(
+/// on first use, and upgrading older schemas in place (headerless or
+/// pre-`phase` files get the header and `,total`) first. The `wall_secs`
+/// column carries
+/// `value` — seconds for the `total` and pipeline-phase rows, else a
+/// rate, a ratio, a count (any finite number) named by `phase` (e.g.
+/// `scrapes_per_sec@4x`), so sweeps persist derived numbers next to their
+/// wall-clock rows.
+///
+/// # Errors
+///
+/// [`std::io::ErrorKind::InvalidInput`] for a NaN or infinite `value`;
+/// otherwise propagates filesystem errors.
+pub fn record_metric_row(
     experiment: &str,
     opts: &CliOptions,
-    wall: Duration,
+    value: f64,
     phase: &str,
 ) -> std::io::Result<PathBuf> {
     use std::io::Write;
+    if !value.is_finite() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{experiment} {phase}: {value} is not a finite number"),
+        ));
+    }
     let path = timings_path();
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir)?;
@@ -111,11 +130,10 @@ fn append_row(
     }
     writeln!(
         file,
-        "{experiment},{},{},{},{:.3},{phase}",
+        "{experiment},{},{},{},{value:.3},{phase}",
         opts.mode,
         opts.seed,
         opts.resolved_threads(),
-        wall.as_secs_f64()
     )?;
     Ok(path)
 }
@@ -132,30 +150,12 @@ pub fn record_timing(
     opts: &CliOptions,
     wall: Duration,
 ) -> std::io::Result<PathBuf> {
-    append_row(experiment, opts, wall, "total")
-}
-
-/// Appends a named metric row to [`timings_path`]: the `wall_secs`
-/// column carries `value` and `phase` names the metric (e.g.
-/// `scrapes_per_sec@4x`). Lets sweeps persist derived numbers next to
-/// their wall-clock rows in the one append-only CSV the perf checks
-/// read.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn record_metric_row(
-    experiment: &str,
-    opts: &CliOptions,
-    value: f64,
-    phase: &str,
-) -> std::io::Result<PathBuf> {
-    append_row(experiment, opts, Duration::from_secs_f64(value), phase)
+    record_metric_row(experiment, opts, wall.as_secs_f64(), "total")
 }
 
 /// Appends one row per [`PIPELINE_PHASES`] entry the global `icfl-obs`
 /// profiler has spans for, reporting each phase's summed wall-clock time.
-/// Returns the phases written. Binaries call this right after their timed
+/// Returns the phases written. The runner calls this right after the timed
 /// body, so the rows describe the same run as the `total` row.
 ///
 /// # Errors
@@ -169,12 +169,7 @@ pub fn record_phase_timings(
     let mut written = Vec::new();
     for phase in PIPELINE_PHASES {
         if let Some(row) = aggregate.iter().find(|r| r.name == phase) {
-            append_row(
-                experiment,
-                opts,
-                Duration::from_secs_f64(row.total_secs),
-                phase,
-            )?;
+            record_metric_row(experiment, opts, row.total_secs, phase)?;
             written.push(phase);
         }
     }
@@ -203,13 +198,15 @@ pub fn report_timing(experiment: &str, opts: &CliOptions, wall: Duration) {
     }
 }
 
+/// Serializes tests that repoint `ICFL_RESULTS_DIR` or reset the global
+/// collector (both process-global).
+#[cfg(test)]
+pub(crate) static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mode::Mode;
-
-    /// Serializes tests that repoint `ICFL_RESULTS_DIR` (process-global).
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn opts(seed: u64, threads: usize) -> CliOptions {
         CliOptions {
@@ -235,6 +232,12 @@ mod tests {
         let opts = opts(9, 2);
         let p1 = record_timing("unit-test", &opts, Duration::from_millis(1500)).unwrap();
         let p2 = record_timing("unit-test", &opts, Duration::from_millis(250)).unwrap();
+        // Metric rows carry any finite number, and only finite ones.
+        record_metric_row("unit-test", &opts, -0.25, "delta").unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = record_metric_row("unit-test", &opts, bad, "delta").unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        }
         std::env::remove_var("ICFL_RESULTS_DIR");
         assert_eq!(p1, p2);
         let body = std::fs::read_to_string(&p1).unwrap();
@@ -242,6 +245,8 @@ mod tests {
         assert_eq!(lines[0], "experiment,mode,seed,threads,wall_secs,phase");
         assert_eq!(lines[1], "unit-test,quick,9,2,1.500,total");
         assert_eq!(lines[2], "unit-test,quick,9,2,0.250,total");
+        assert_eq!(lines[3], "unit-test,quick,9,2,-0.250,delta");
+        assert_eq!(lines.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
